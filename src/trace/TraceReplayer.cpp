@@ -19,7 +19,7 @@ TraceStatus TraceReplayer::open(const std::string &Path, TraceReaderKind Kind) {
   Span = TraceEventSpan();
   SpanPos = 0;
   EventsDone = 0;
-  LiveSize.clear();
+  Objects.clear();
   Total = TraceStats();
   Transactions = 0;
   EventsInTx = 0;
@@ -67,18 +67,30 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
     }
 
     const TraceEvent &E = *EP;
-    auto Id = std::to_string(E.Id);
+    // Diagnostics only: built on the failure paths, never per event.
+    auto Id = [&E] { return std::to_string(E.Id); };
     switch (E.Op) {
     case TraceOp::Alloc:
     case TraceOp::Calloc:
     case TraceOp::AllocAligned: {
-      if (!LiveSize.emplace(E.Id, E.Size).second) {
-        fail("allocation reuses live object id " + Id);
+      // Ids are dense per transaction, so no producer allocates an id past
+      // the events before it; refusing one keeps the table bounded.
+      if (E.Id > EventsInTx) {
+        fail("allocation id " + Id() + " is beyond the " +
+             std::to_string(EventsInTx) + " events of this transaction");
         return Step::Error;
       }
+      if (E.Id >= Objects.size())
+        Objects.resize(size_t(E.Id) + 1);
+      ObjectSlot &Slot = Objects[E.Id];
+      if (Slot.Live) {
+        fail("allocation reuses live object id " + Id());
+        return Step::Error;
+      }
+      Slot = {E.Size, true};
       if (E.Op == TraceOp::AllocAligned &&
           (E.Alignment == 0 || (E.Alignment & (E.Alignment - 1)) != 0)) {
-        fail("aligned allocation of object id " + Id +
+        fail("aligned allocation of object id " + Id() +
              " requests non-power-of-two alignment " +
              std::to_string(E.Alignment));
         return Step::Error;
@@ -97,48 +109,51 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
       }
       if (Executor.txAborted()) {
         fail("allocation of " + std::to_string(E.Size) + " bytes for object " +
-             Id + " failed: the executor's allocator exhausted its heap");
+             Id() + " failed: the executor's allocator exhausted its heap");
         return Step::Error;
       }
       break;
     }
-    case TraceOp::Free:
-      if (LiveSize.erase(E.Id) == 0) {
-        fail("free of unknown or already-freed object id " + Id);
+    case TraceOp::Free: {
+      ObjectSlot *Slot = liveSlot(E.Id);
+      if (!Slot) {
+        fail("free of unknown or already-freed object id " + Id());
         return Step::Error;
       }
+      Slot->Live = false;
       ++EventsInTx;
       ++Stats.Frees;
       Executor.onFree(E.Id);
       break;
+    }
     case TraceOp::Realloc: {
-      auto It = LiveSize.find(E.Id);
-      if (It == LiveSize.end()) {
-        fail("realloc of unknown or already-freed object id " + Id);
+      ObjectSlot *Slot = liveSlot(E.Id);
+      if (!Slot) {
+        fail("realloc of unknown or already-freed object id " + Id());
         return Step::Error;
       }
-      if (It->second != E.OldSize) {
-        fail("realloc old-size mismatch on object id " + Id + ": trace says " +
-             std::to_string(E.OldSize) + ", object is " +
-             std::to_string(It->second) + " bytes");
+      if (Slot->Size != E.OldSize) {
+        fail("realloc old-size mismatch on object id " + Id() +
+             ": trace says " + std::to_string(E.OldSize) + ", object is " +
+             std::to_string(Slot->Size) + " bytes");
         return Step::Error;
       }
-      It->second = E.Size;
+      Slot->Size = E.Size;
       ++EventsInTx;
       // AllocatedBytes counts malloc'd bytes only (Table 3's mean
       // allocation size definition), as in the generator's TraceStats.
       ++Stats.Reallocs;
       Executor.onRealloc(E.Id, E.OldSize, E.Size);
       if (Executor.txAborted()) {
-        fail("realloc of object " + Id + " to " + std::to_string(E.Size) +
+        fail("realloc of object " + Id() + " to " + std::to_string(E.Size) +
              " bytes failed: the executor's allocator exhausted its heap");
         return Step::Error;
       }
       break;
     }
     case TraceOp::Touch:
-      if (!LiveSize.count(E.Id)) {
-        fail("touch of unknown or already-freed object id " + Id);
+      if (!liveSlot(E.Id)) {
+        fail("touch of unknown or already-freed object id " + Id());
         return Step::Error;
       }
       ++EventsInTx;
@@ -168,7 +183,7 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
     case TraceOp::EndTx:
       // Object ids restart at zero next transaction; whatever is still
       // live belongs to the runtime's end-of-transaction cleanup.
-      LiveSize.clear();
+      Objects.clear();
       EventsInTx = 0;
       ++Transactions;
       return Step::Tx;

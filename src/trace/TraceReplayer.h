@@ -20,6 +20,11 @@
 /// after free, old-size mismatch, touch of a dead object, out-of-range
 /// state touch, and truncation inside a transaction are all caught.
 ///
+/// Producers number objects 0, 1, 2, ... per transaction, so the table is
+/// a flat array indexed by id; an allocation id beyond the events already
+/// replayed in its transaction is rejected, which bounds it (and the
+/// runtime's own id-indexed table) by the transaction, not by a hostile id.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_TRACE_TRACEREPLAYER_H
@@ -31,7 +36,7 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace ddm {
 
@@ -101,11 +106,21 @@ private:
   /// Advances the span cursor, refilling from the input as needed.
   TraceInput::Next nextEvent(const TraceEvent *&E);
 
+  /// Replay state of one object id in the current transaction.
+  struct ObjectSlot {
+    uint64_t Size = 0;
+    bool Live = false;
+  };
+  /// The slot of live object \p Id, or nullptr if unknown or freed.
+  ObjectSlot *liveSlot(uint32_t Id) {
+    return Id < Objects.size() && Objects[Id].Live ? &Objects[Id] : nullptr;
+  }
+
   std::unique_ptr<TraceInput> Input;
   TraceEventSpan Span;     ///< Current batch of decoded events.
   size_t SpanPos = 0;      ///< Consumption cursor within Span.
   uint64_t EventsDone = 0; ///< Events consumed (≤ Input->eventIndex()).
-  std::unordered_map<uint32_t, uint64_t> LiveSize; ///< id -> current size.
+  std::vector<ObjectSlot> Objects; ///< By id; emptied at EndTx and open().
   TraceStats Total;
   uint64_t Transactions = 0;
   uint64_t EventsInTx = 0;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 using namespace ddm;
@@ -41,24 +40,28 @@ private:
 };
 
 /// Live-object table with O(1) insert/remove and recency-biased sampling.
+/// Ids are dense (0 .. IdCount-1), so an object's position in the live
+/// array is found by indexing, not hashing.
 class LiveTable {
 public:
+  explicit LiveTable(size_t IdCount) : Position(IdCount, Absent) {}
+
   void insert(uint32_t Id, uint32_t Size) {
-    Position[Id] = Objects.size();
+    Position[Id] = static_cast<uint32_t>(Objects.size());
     Objects.push_back({Id, Size});
   }
 
-  bool contains(uint32_t Id) const { return Position.count(Id) != 0; }
+  bool contains(uint32_t Id) const { return Position[Id] != Absent; }
 
-  uint32_t sizeOf(uint32_t Id) const { return Objects[Position.at(Id)].Size; }
+  uint32_t sizeOf(uint32_t Id) const { return Objects[Position[Id]].Size; }
 
   void resize(uint32_t Id, uint32_t NewSize) {
-    Objects[Position.at(Id)].Size = NewSize;
+    Objects[Position[Id]].Size = NewSize;
   }
 
   void remove(uint32_t Id) {
-    size_t Pos = Position.at(Id);
-    Position.erase(Id);
+    uint32_t Pos = Position[Id];
+    Position[Id] = Absent;
     if (Pos + 1 != Objects.size()) {
       Objects[Pos] = Objects.back();
       Position[Objects[Pos].Id] = Pos;
@@ -80,12 +83,14 @@ public:
   }
 
 private:
+  static constexpr uint32_t Absent = ~uint32_t(0);
+
   struct Entry {
     uint32_t Id;
     uint32_t Size;
   };
   std::vector<Entry> Objects;
-  std::unordered_map<uint32_t, size_t> Position;
+  std::vector<uint32_t> Position; ///< Id -> index in Objects, or Absent.
 };
 
 } // namespace
@@ -127,7 +132,7 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
 
   TraceStats Stats;
   FreeCalendar Calendar(4096);
-  LiveTable Live;
+  LiveTable Live(Steps);
   uint32_t NextId = 0;
   double TouchAccumulator = 0.0;
   double StateAccumulator = 0.0;

@@ -5,7 +5,8 @@
 /// future version, truncated header/frame/payload, CRC mismatch, garbage
 /// inside a CRC-valid payload, and semantically impossible event streams
 /// (double alloc of a live id, free of an unknown id, realloc size lies,
-/// truncation inside a transaction).
+/// allocation ids past the transaction's length, truncation inside a
+/// transaction).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,11 +144,12 @@ public:
   void onStateTouch(uint64_t, bool) override {}
 };
 
-/// Replays \p Path to completion; returns the first non-Tx step.
-TraceReplayer::Step replayAll(const std::string &Path, TraceStatus &Status,
-                              uint64_t StateBytesLimit = 0) {
-  TraceReplayer Replayer;
-  TraceStatus Open = Replayer.open(Path);
+/// Replays \p Path to completion with \p Replayer; returns the first
+/// non-Tx step.
+TraceReplayer::Step replayAll(TraceReplayer &Replayer, const std::string &Path,
+                              TraceStatus &Status, uint64_t StateBytesLimit = 0,
+                              TraceReaderKind Kind = TraceReaderKind::Auto) {
+  TraceStatus Open = Replayer.open(Path, Kind);
   if (!Open.ok()) {
     Status = Open;
     return TraceReplayer::Step::Error;
@@ -161,6 +163,13 @@ TraceReplayer::Step replayAll(const std::string &Path, TraceStatus &Status,
     ;
   Status = Replayer.status();
   return Step;
+}
+
+TraceReplayer::Step replayAll(const std::string &Path, TraceStatus &Status,
+                              uint64_t StateBytesLimit = 0,
+                              TraceReaderKind Kind = TraceReaderKind::Auto) {
+  TraceReplayer Replayer;
+  return replayAll(Replayer, Path, Status, StateBytesLimit, Kind);
 }
 
 } // namespace
@@ -389,6 +398,92 @@ TEST(TraceCorruptionTest, ReplayRejectsStateTouchWithNoStateArea) {
   EXPECT_EQ(replayAll(Path, Status, /*StateBytesLimit=*/0),
             TraceReplayer::Step::Error);
   std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayRejectsHugeAllocId) {
+  // Ids are dense per transaction, so a first allocation with an id near
+  // 2^32 is hostile. It must be refused before anything is sized by it:
+  // the runtime's id-indexed table would ask for ~64 GiB.
+  std::string Path = writeEventTrace("hugeid", {event(TraceOp::Alloc,
+                                                     0xFFFFFF00u, 16),
+                                               event(TraceOp::EndTx)});
+  const std::string Expected =
+      "allocation id 4294967040 is beyond the 0 events of this transaction";
+  for (TraceReaderKind Kind :
+       {TraceReaderKind::Streaming, TraceReaderKind::Mapped}) {
+    TraceStatus Status;
+    EXPECT_EQ(replayAll(Path, Status, 0, Kind), TraceReplayer::Step::Error);
+    EXPECT_EQ(Status.Message, Expected);
+    EXPECT_EQ(Status.EventIndex, 0u);
+
+    TraceSummary Summary;
+    Status = summarizeTrace(Path, Summary, Kind);
+    EXPECT_EQ(Status.Message, Expected);
+    EXPECT_EQ(Status.EventIndex, 0u);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, AllocIdMayNotExceedTheEventsBeforeIt) {
+  // An allocation id may equal the number of earlier events in its
+  // transaction (every one of them an allocation) but not exceed it.
+  std::string Path = writeEventTrace(
+      "idbound", {event(TraceOp::Alloc, 0, 16), event(TraceOp::Work, 0, 5),
+                  event(TraceOp::Alloc, 2, 16), event(TraceOp::EndTx),
+                  event(TraceOp::Alloc, 0, 16), event(TraceOp::Work, 0, 5),
+                  event(TraceOp::Alloc, 3, 16), event(TraceOp::EndTx)});
+  TraceStatus Status;
+  EXPECT_EQ(replayAll(Path, Status), TraceReplayer::Step::Error);
+  EXPECT_EQ(Status.Message,
+            "allocation id 3 is beyond the 2 events of this transaction");
+  EXPECT_EQ(Status.EventIndex, 6u);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayForgetsLiveIdsAtTransactionBoundary) {
+  // Ids restart at each EndTx: an object of the last transaction is
+  // unknown in the next one.
+  std::string Path = writeEventTrace(
+      "freeacross", {event(TraceOp::Alloc, 0, 16), event(TraceOp::EndTx),
+                     event(TraceOp::Free, 0), event(TraceOp::EndTx)});
+  TraceStatus Status;
+  EXPECT_EQ(replayAll(Path, Status), TraceReplayer::Step::Error);
+  EXPECT_EQ(Status.Message, "free of unknown or already-freed object id 0");
+  EXPECT_EQ(Status.EventIndex, 2u);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayReusesIdsAfterTransactionBoundary) {
+  std::string Path = writeEventTrace(
+      "reuseacross", {event(TraceOp::Alloc, 0, 16), event(TraceOp::EndTx),
+                      event(TraceOp::Alloc, 0, 32), event(TraceOp::EndTx)});
+  TraceStatus Status;
+  EXPECT_EQ(replayAll(Path, Status), TraceReplayer::Step::End);
+  EXPECT_TRUE(Status.ok()) << Status.describe();
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReopenAfterRejectionStartsFromACleanTable) {
+  // The rejected trace leaves ids 0 and 1 live mid-transaction; the clean
+  // trace allocates the same ids and must not see them.
+  std::string Bad = writeEventTrace(
+      "reopenbad", {event(TraceOp::Alloc, 0, 16), event(TraceOp::Alloc, 1, 16),
+                    event(TraceOp::Free, 7), event(TraceOp::EndTx)});
+  std::string Good = writeEventTrace(
+      "reopengood",
+      {event(TraceOp::Alloc, 0, 16), event(TraceOp::Alloc, 1, 16),
+       event(TraceOp::Free, 0), event(TraceOp::Free, 1),
+       event(TraceOp::EndTx)});
+  TraceReplayer Replayer;
+  TraceStatus Status;
+  EXPECT_EQ(replayAll(Replayer, Bad, Status), TraceReplayer::Step::Error);
+  EXPECT_FALSE(Status.ok());
+  EXPECT_EQ(replayAll(Replayer, Good, Status), TraceReplayer::Step::End);
+  EXPECT_TRUE(Status.ok()) << Status.describe();
+  EXPECT_EQ(Replayer.transactionsReplayed(), 1u);
+  EXPECT_EQ(Replayer.eventsReplayed(), 5u);
+  std::remove(Bad.c_str());
+  std::remove(Good.c_str());
 }
 
 TEST(TraceCorruptionTest, HostileIdDeltaFailsDecode) {

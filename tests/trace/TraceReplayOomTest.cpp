@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 using namespace ddm;
 
 namespace {
@@ -46,9 +48,13 @@ protected:
     return Config;
   }
 
-  /// Records two clean transactions and returns the trace path.
+  /// Records two clean transactions into a file of this test's own: ctest
+  /// runs each case in its own process, possibly at the same time, and a
+  /// shared path would be truncated under the other's mapping.
   void record() {
-    Path = testing::TempDir() + "ddm_replay_oom" + TraceFileSuffix;
+    Path = testing::TempDir() + "ddm_replay_oom_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(getpid()) + TraceFileSuffix;
     const WorkloadSpec W = phpBb();
     TraceRecorder Recorder;
     ASSERT_TRUE(Recorder.open(Path, TraceMeta{W.Name, 0.05, 77}).ok());

@@ -23,6 +23,7 @@ DIR="$(dirname "$0")"
 
 [ -x "$SIM" ] || { echo "error: $SIM not built (cmake --build $BUILD)" >&2; exit 1; }
 [ -x "$SYNTH" ] || { echo "error: $SYNTH not built (cmake --build $BUILD)" >&2; exit 1; }
+[ -x "$STAT" ] || { echo "error: $STAT not built (cmake --build $BUILD)" >&2; exit 1; }
 
 SCALE=0.002
 TX=2
