@@ -78,45 +78,14 @@ void TransactionRuntime::setWorkload(const WorkloadSpec &W) {
   Workload = W;
 }
 
-TransactionRuntime::ObjectRecord &TransactionRuntime::recordFor(uint32_t Id) {
-  if (Id >= Objects.size())
-    Objects.resize(Id + 1);
+TransactionRuntime::ObjectRecord &
+TransactionRuntime::growRecords(uint32_t Id) {
+  Objects.resize(size_t(Id) + 1);
   return Objects[Id];
 }
 
-void TransactionRuntime::onAlloc(uint32_t Id, size_t Size) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Alloc;
-    E.Id = Id;
-    E.Size = Size;
-    Trace->event(E);
-  }
-  performAlloc(Id, Size);
-}
-
-void TransactionRuntime::onCalloc(uint32_t Id, size_t Size) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Calloc;
-    E.Id = Id;
-    E.Size = Size;
-    Trace->event(E);
-  }
-  performAlloc(Id, Size);
-}
-
-void TransactionRuntime::onAllocAligned(uint32_t Id, size_t Size,
-                                        uint32_t Alignment) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::AllocAligned;
-    E.Id = Id;
-    E.Size = Size;
-    E.Alignment = Alignment;
-    Trace->event(E);
-  }
-  performAlloc(Id, Size);
+void TransactionRuntime::canaryMismatch(const char *Where) {
+  fatal(std::string("heap corruption detected: canary mismatch ") + Where);
 }
 
 void TransactionRuntime::noteOom(size_t FailedBytes) {
@@ -146,56 +115,6 @@ void TransactionRuntime::installCorruptionHandler() {
   if (Hardened)
     Hardened->setReportHandler(
         [this](const CorruptionReport &Report) { noteCorruption(Report); });
-}
-
-void TransactionRuntime::performAlloc(uint32_t Id, size_t Size) {
-  if (txAborted())
-    return;
-  SinkHandleView.setDomain(CostDomain::MemoryManagement);
-  void *Ptr = faultShouldFail(FaultSite::WorkerHeap)
-                  ? nullptr
-                  : Allocator->allocate(Size);
-  if (!Ptr) {
-    // Heap exhausted (or the worker_heap fault site fired): abandon the
-    // transaction, not the process. completeTransaction rolls back.
-    noteOom(Size);
-    return;
-  }
-  SinkHandleView.setDomain(CostDomain::Application);
-
-  ObjectRecord &Record = recordFor(Id);
-  Record.Ptr = Ptr;
-  Record.Size = static_cast<uint32_t>(Size);
-  Record.Live = true;
-
-  // The application initializes every new object (constructor/copy): a
-  // real canary write plus the full-size store mirrored to the sink.
-  if (Size >= sizeof(uint32_t))
-    *static_cast<uint32_t *>(Ptr) = Id;
-  SinkHandleView.store(Ptr, static_cast<uint32_t>(Size ? Size : 1));
-  SinkHandleView.instructions(4 + Size / 32); // init loop
-}
-
-void TransactionRuntime::onFree(uint32_t Id) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Free;
-    E.Id = Id;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "freeing a dead object");
-  // Canary: the object's identity must have survived.
-  if (Record.Size >= sizeof(uint32_t) &&
-      *static_cast<uint32_t *>(Record.Ptr) != Id)
-    fatal("heap corruption detected: canary mismatch before free");
-  SinkHandleView.setDomain(CostDomain::MemoryManagement);
-  Allocator->deallocate(Record.Ptr);
-  SinkHandleView.setDomain(CostDomain::Application);
-  Record.Live = false;
-  Record.Ptr = nullptr;
 }
 
 void TransactionRuntime::onRealloc(uint32_t Id, size_t OldSize,
@@ -229,65 +148,6 @@ void TransactionRuntime::onRealloc(uint32_t Id, size_t OldSize,
   if (NewSize >= sizeof(uint32_t))
     *static_cast<uint32_t *>(Ptr) = Id; // refresh the canary
   SinkHandleView.store(Ptr, sizeof(uint32_t));
-}
-
-void TransactionRuntime::onTouch(uint32_t Id, bool IsWrite) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Touch;
-    E.Id = Id;
-    E.IsWrite = IsWrite;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "touching a dead object");
-  if (Record.Size >= sizeof(uint32_t) &&
-      *static_cast<uint32_t *>(Record.Ptr) != Id)
-    fatal("heap corruption detected: canary mismatch on touch");
-  // Touch one line of the object at a random offset.
-  uint32_t Offset =
-      Record.Size > 64
-          ? static_cast<uint32_t>(TouchRng.nextBelow(Record.Size - 63)) & ~63u
-          : 0;
-  auto *Addr = static_cast<std::byte *>(Record.Ptr) + Offset;
-  if (IsWrite)
-    SinkHandleView.store(Addr, 8);
-  else
-    SinkHandleView.load(Addr, 8);
-  SinkHandleView.instructions(6);
-}
-
-void TransactionRuntime::onWork(uint64_t Instructions) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Work;
-    E.Size = Instructions;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  SinkHandleView.instructions(Instructions);
-}
-
-void TransactionRuntime::onStateTouch(uint64_t Offset, bool IsWrite) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::StateTouch;
-    E.Size = Offset;
-    E.IsWrite = IsWrite;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  assert(Offset + 64 <= StateArea.size() && "state touch out of range");
-  std::byte *Addr = StateArea.base() + Offset;
-  if (IsWrite)
-    SinkHandleView.store(Addr, 8);
-  else
-    SinkHandleView.load(Addr, 8);
-  SinkHandleView.instructions(3);
 }
 
 void TransactionRuntime::cleanupTransaction() {

@@ -20,6 +20,15 @@
 /// the CostDomain set so memory-management and application cycles are
 /// attributed separately (Figures 6 and 11).
 ///
+/// The per-event handlers are defined inline here and the class is final,
+/// so a caller holding a TransactionRuntime& (the trace replayer, the
+/// benchmark's stream replay) runs them without an indirect call; callers
+/// driving it through TxExecutor& (runTransaction) keep virtual dispatch.
+/// Work whose only consumer is the sink is skipped without one: in
+/// particular TouchRng is consumed only when a sink is attached. The
+/// cold paths (OOM and corruption notes, realloc, cleanup, restart) stay
+/// out of line.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_RUNTIME_TRANSACTIONRUNTIME_H
@@ -28,10 +37,12 @@
 #include "core/AllocatorFactory.h"
 #include "hardening/Hardening.h"
 #include "support/Arena.h"
+#include "support/FaultInjection.h"
 #include "support/Stats.h"
 #include "trace/TraceEvent.h"
 #include "workload/TraceGenerator.h"
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -123,7 +134,7 @@ struct TxOutcome {
 };
 
 /// One simulated runtime process.
-class TransactionRuntime : public TxExecutor {
+class TransactionRuntime final : public TxExecutor {
 public:
   TransactionRuntime(const WorkloadSpec &Workload, const RuntimeConfig &Config,
                      AccessSink *Sink = nullptr);
@@ -173,14 +184,129 @@ public:
   /// \name TxExecutor interface (driven by the trace generator or a
   /// captured-trace replay).
   /// @{
-  void onAlloc(uint32_t Id, size_t Size) override;
-  void onCalloc(uint32_t Id, size_t Size) override;
-  void onAllocAligned(uint32_t Id, size_t Size, uint32_t Alignment) override;
-  void onFree(uint32_t Id) override;
+  void onAlloc(uint32_t Id, size_t Size) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::Alloc;
+      E.Id = Id;
+      E.Size = Size;
+      Trace->event(E);
+    }
+    performAlloc(Id, Size);
+  }
+
+  void onCalloc(uint32_t Id, size_t Size) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::Calloc;
+      E.Id = Id;
+      E.Size = Size;
+      Trace->event(E);
+    }
+    performAlloc(Id, Size);
+  }
+
+  void onAllocAligned(uint32_t Id, size_t Size, uint32_t Alignment) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::AllocAligned;
+      E.Id = Id;
+      E.Size = Size;
+      E.Alignment = Alignment;
+      Trace->event(E);
+    }
+    performAlloc(Id, Size);
+  }
+
+  void onFree(uint32_t Id) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::Free;
+      E.Id = Id;
+      Trace->event(E);
+    }
+    if (txAborted())
+      return;
+    ObjectRecord &Record = recordFor(Id);
+    assert(Record.Live && "freeing a dead object");
+    // Canary: the object's identity must have survived.
+    if (Record.Size >= sizeof(uint32_t) &&
+        *static_cast<uint32_t *>(Record.Ptr) != Id)
+      canaryMismatch("before free");
+    SinkHandleView.setDomain(CostDomain::MemoryManagement);
+    Allocator->deallocate(Record.Ptr);
+    SinkHandleView.setDomain(CostDomain::Application);
+    Record.Live = false;
+    Record.Ptr = nullptr;
+  }
+
   void onRealloc(uint32_t Id, size_t OldSize, size_t NewSize) override;
-  void onTouch(uint32_t Id, bool IsWrite) override;
-  void onWork(uint64_t Instructions) override;
-  void onStateTouch(uint64_t Offset, bool IsWrite) override;
+
+  void onTouch(uint32_t Id, bool IsWrite) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::Touch;
+      E.Id = Id;
+      E.IsWrite = IsWrite;
+      Trace->event(E);
+    }
+    if (txAborted())
+      return;
+    ObjectRecord &Record = recordFor(Id);
+    assert(Record.Live && "touching a dead object");
+    if (Record.Size >= sizeof(uint32_t) &&
+        *static_cast<uint32_t *>(Record.Ptr) != Id)
+      canaryMismatch("on touch");
+    // Everything below only feeds the sink, the offset draw included.
+    if (!SinkHandleView)
+      return;
+    // Touch one line of the object at a random offset.
+    uint32_t Offset =
+        Record.Size > 64
+            ? static_cast<uint32_t>(TouchRng.nextBelow(Record.Size - 63)) & ~63u
+            : 0;
+    auto *Addr = static_cast<std::byte *>(Record.Ptr) + Offset;
+    if (IsWrite)
+      SinkHandleView.store(Addr, 8);
+    else
+      SinkHandleView.load(Addr, 8);
+    SinkHandleView.instructions(6);
+  }
+
+  void onWork(uint64_t Instructions) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::Work;
+      E.Size = Instructions;
+      Trace->event(E);
+    }
+    if (txAborted())
+      return;
+    SinkHandleView.instructions(Instructions);
+  }
+
+  void onStateTouch(uint64_t Offset, bool IsWrite) override {
+    if (Trace) {
+      TraceEvent E;
+      E.Op = TraceOp::StateTouch;
+      E.Size = Offset;
+      E.IsWrite = IsWrite;
+      Trace->event(E);
+    }
+    if (txAborted())
+      return;
+    // The touch spans [Offset, Offset+64); Offset+64 itself would wrap for
+    // offsets near 2^64.
+    assert(Offset <= StateArea.size() && StateArea.size() - Offset >= 64 &&
+           "state touch out of range");
+    std::byte *Addr = StateArea.base() + Offset;
+    if (IsWrite)
+      SinkHandleView.store(Addr, 8);
+    else
+      SinkHandleView.load(Addr, 8);
+    SinkHandleView.instructions(3);
+  }
+
   bool txAborted() const override { return OomPending || CorruptionPending; }
   /// @}
 
@@ -213,12 +339,53 @@ private:
   /// routes its reports into noteCorruption.
   void installCorruptionHandler();
   void restartProcess();
-  ObjectRecord &recordFor(uint32_t Id);
+  /// Fatal: an object's canary word was overwritten; \p Where names the
+  /// handler that noticed ("before free", "on touch").
+  [[noreturn]] static void canaryMismatch(const char *Where);
+
+  /// The record of object \p Id. Producers number objects densely, so a
+  /// new id is almost always the next one and is appended in place.
+  ObjectRecord &recordFor(uint32_t Id) {
+    if (Id < Objects.size())
+      return Objects[Id];
+    if (Id == Objects.size())
+      return Objects.emplace_back();
+    return growRecords(Id);
+  }
+  /// recordFor's out-of-line case: an id past the next dense one.
+  ObjectRecord &growRecords(uint32_t Id);
+
   /// Shared allocation body of onAlloc/onCalloc/onAllocAligned (the tee
   /// differs per kind; the runtime-side behaviour does not — model
   /// allocators have a single >= 8-byte-aligned allocate entry point and
   /// the initializing store already covers calloc's zeroing).
-  void performAlloc(uint32_t Id, size_t Size);
+  void performAlloc(uint32_t Id, size_t Size) {
+    if (txAborted())
+      return;
+    SinkHandleView.setDomain(CostDomain::MemoryManagement);
+    void *Ptr = faultShouldFail(FaultSite::WorkerHeap)
+                    ? nullptr
+                    : Allocator->allocate(Size);
+    if (!Ptr) {
+      // Heap exhausted (or the worker_heap fault site fired): abandon the
+      // transaction, not the process. completeTransaction rolls back.
+      noteOom(Size);
+      return;
+    }
+    SinkHandleView.setDomain(CostDomain::Application);
+
+    ObjectRecord &Record = recordFor(Id);
+    Record.Ptr = Ptr;
+    Record.Size = static_cast<uint32_t>(Size);
+    Record.Live = true;
+
+    // The application initializes every new object (constructor/copy): a
+    // real canary write plus the full-size store mirrored to the sink.
+    if (Size >= sizeof(uint32_t))
+      *static_cast<uint32_t *>(Ptr) = Id;
+    SinkHandleView.store(Ptr, static_cast<uint32_t>(Size ? Size : 1));
+    SinkHandleView.instructions(4 + Size / 32); // init loop
+  }
 
   WorkloadSpec Workload;
   RuntimeConfig Config;
@@ -227,6 +394,8 @@ private:
   SinkHandle SinkHandleView;
   AlignedArena StateArea;
   Rng R;
+  /// Line offsets of object touches; consumed only when a sink is
+  /// attached (the offset has no other consumer).
   Rng TouchRng;
   /// Ruby-mode leak decisions draw from a dedicated stream (not R) so a
   /// trace replay — which never advances the generator's R — makes the

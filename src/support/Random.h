@@ -88,19 +88,21 @@ public:
   }
 
   /// Returns a uniformly distributed integer in [0, Bound). \p Bound must be
-  /// nonzero. Uses Lemire's multiply-shift rejection method.
+  /// nonzero. Uses Lemire's nearly-divisionless multiply-shift rejection
+  /// method: the rejection threshold (2^64 mod Bound) is below Bound, so
+  /// it is computed — one 64-bit division — only when the low product
+  /// word falls below Bound, which for small bounds is almost never. The
+  /// values and the number of next() calls are those of always computing
+  /// the threshold first.
   uint64_t nextBelow(uint64_t Bound) {
     assert(Bound > 0 && "nextBelow requires a nonzero bound");
-    // Unbiased for all bounds that matter here; the slight bias of a plain
-    // multiply-shift is acceptable for bounds far below 2^64, but rejection
-    // keeps the generator exact for tests.
-    uint64_t Threshold = (0 - Bound) % Bound;
-    for (;;) {
-      uint64_t R = next();
-      __uint128_t M = static_cast<__uint128_t>(R) * Bound;
-      if (static_cast<uint64_t>(M) >= Threshold)
-        return static_cast<uint64_t>(M >> 64);
+    __uint128_t M = static_cast<__uint128_t>(next()) * Bound;
+    if (static_cast<uint64_t>(M) < Bound) {
+      uint64_t Threshold = (0 - Bound) % Bound;
+      while (static_cast<uint64_t>(M) < Threshold)
+        M = static_cast<__uint128_t>(next()) * Bound;
     }
+    return static_cast<uint64_t>(M >> 64);
   }
 
   /// Returns a uniformly distributed integer in [Lo, Hi] inclusive.

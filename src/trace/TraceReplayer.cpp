@@ -44,9 +44,10 @@ TraceInput::Next TraceReplayer::nextEvent(const TraceEvent *&E) {
   return TraceInput::Next::Event;
 }
 
-TraceReplayer::Step
-TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
-                                     uint64_t StateBytesLimit) {
+template <typename ExecutorT>
+TraceReplayer::Step TraceReplayer::replayInto(ExecutorT &Executor,
+                                              TraceStats &Stats,
+                                              uint64_t StateBytesLimit) {
   if (!status().ok())
     return Step::Error;
 
@@ -191,9 +192,17 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
   }
 }
 
+TraceReplayer::Step
+TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
+                                     uint64_t StateBytesLimit) {
+  return replayInto(Executor, Stats, StateBytesLimit);
+}
+
 TraceReplayer::Step TraceReplayer::replayTransaction(TransactionRuntime &RT) {
   TraceStats Stats;
-  Step S = replayTransactionInto(RT, Stats, RT.workload().AppStateBytes);
+  // The concrete (final) runtime: its inline handlers run without an
+  // indirect call per event.
+  Step S = replayInto(RT, Stats, RT.workload().AppStateBytes);
   if (S == Step::Tx) {
     RT.completeTransaction(Stats);
     Total.add(Stats);

@@ -12,6 +12,9 @@
 /// TraceInput — the mmap zero-copy reader for regular files, the
 /// streaming reader for pipes/FIFOs (see openTraceInput) — so the hot
 /// loop costs one indirect call per ~20k events, not one per event.
+/// Replaying into a TransactionRuntime (replayTransaction) also forwards
+/// each event without an indirect call: the loop is instantiated for the
+/// final runtime class, whose handlers are inline.
 ///
 /// The replayer validates events against its own live-object table before
 /// forwarding them, so a malformed or hand-edited trace produces a
@@ -102,6 +105,14 @@ public:
   /// @}
 
 private:
+  /// The validation loop behind both entry points, instantiated for
+  /// TxExecutor& (replayTransactionInto: one virtual call per forwarded
+  /// event) and for the final TransactionRuntime& (replayTransaction:
+  /// the runtime's inline handlers, no indirect call).
+  template <typename ExecutorT>
+  Step replayInto(ExecutorT &Executor, TraceStats &Stats,
+                  uint64_t StateBytesLimit);
+
   TraceStatus fail(std::string Message);
   /// Advances the span cursor, refilling from the input as needed.
   TraceInput::Next nextEvent(const TraceEvent *&E);

@@ -137,3 +137,23 @@ TEST(TransactionRuntimeTest, AllocatorCodeFootprintsOrdered) {
   EXPECT_LT(Footprint(AllocatorKind::DDmalloc),
             Footprint(AllocatorKind::Default));
 }
+
+#ifndef NDEBUG
+TEST(TransactionRuntimeDeathTest, StateTouchNearTheTopOfTheAddressSpace) {
+  // Offset + 64 wraps past zero for these offsets; the range check must
+  // not (a wrapped check would let the access through).
+  TransactionRuntime Runtime(tinyWorkload(), phpConfig(AllocatorKind::DDmalloc));
+  EXPECT_DEATH(Runtime.onStateTouch(~uint64_t(0) - 8, false),
+               "state touch out of range");
+  EXPECT_DEATH(Runtime.onStateTouch(~uint64_t(0) - 63, true),
+               "state touch out of range");
+}
+
+TEST(TransactionRuntimeDeathTest, StateTouchPastTheEndOfTheStateArea) {
+  TransactionRuntime Runtime(tinyWorkload(), phpConfig(AllocatorKind::DDmalloc));
+  uint64_t Size = tinyWorkload().AppStateBytes;
+  Runtime.onStateTouch(Size - 64, true); // the last whole line is fine
+  EXPECT_DEATH(Runtime.onStateTouch(Size - 63, true),
+               "state touch out of range");
+}
+#endif

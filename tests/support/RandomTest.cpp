@@ -47,6 +47,45 @@ TEST(RandomTest, NextBelowOneIsAlwaysZero) {
     EXPECT_EQ(R.nextBelow(1), 0u);
 }
 
+namespace {
+
+/// nextBelow as it read before the nearly-divisionless form: the
+/// rejection threshold computed up front on every call.
+uint64_t referenceNextBelow(Rng &R, uint64_t Bound) {
+  uint64_t Threshold = (0 - Bound) % Bound;
+  for (;;) {
+    __uint128_t M = static_cast<__uint128_t>(R.next()) * Bound;
+    if (static_cast<uint64_t>(M) >= Threshold)
+      return static_cast<uint64_t>(M >> 64);
+  }
+}
+
+} // namespace
+
+TEST(RandomTest, NextBelowMatchesTheThresholdFirstForm) {
+  std::vector<uint64_t> Bounds = {1,
+                                  2,
+                                  3,
+                                  (1ull << 32) - 1,
+                                  (1ull << 32) + 1,
+                                  (1ull << 63) + 1,
+                                  UINT64_MAX};
+  // Values near powers of two, where the threshold is largest relative
+  // to the bound or exactly zero.
+  for (unsigned Shift : {4u, 16u, 31u, 33u, 48u, 62u, 63u})
+    for (int64_t Delta : {-1, 0, 1})
+      Bounds.push_back((1ull << Shift) + static_cast<uint64_t>(Delta));
+
+  for (uint64_t Bound : Bounds) {
+    Rng Fast(Bound ^ 0x5eed), Reference(Bound ^ 0x5eed);
+    for (int I = 0; I < 20000; ++I)
+      ASSERT_EQ(Fast.nextBelow(Bound), referenceNextBelow(Reference, Bound))
+          << "bound " << Bound << ", draw " << I;
+    // Same number of next() calls: the streams are still in lockstep.
+    EXPECT_EQ(Fast.next(), Reference.next()) << "bound " << Bound;
+  }
+}
+
 TEST(RandomTest, NextInRangeInclusive) {
   Rng R(5);
   std::set<uint64_t> Seen;

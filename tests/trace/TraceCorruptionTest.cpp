@@ -6,10 +6,14 @@
 /// inside a CRC-valid payload, and semantically impossible event streams
 /// (double alloc of a live id, free of an unknown id, realloc size lies,
 /// allocation ids past the transaction's length, truncation inside a
-/// transaction).
+/// transaction). Every case also replays its file into a TransactionRuntime
+/// through both replay entry points (replayTransactionInto on a
+/// TxExecutor&, replayTransaction on the concrete runtime) with both
+/// readers and expects the same outcome and diagnostic from each.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReplayParity.h"
 #include "support/Crc32.h"
 #include "trace/TraceCodec.h"
 #include "trace/TraceReader.h"
@@ -87,6 +91,7 @@ void expectBroken(const std::string &Path) {
   EXPECT_FALSE(Status.ok());
   EXPECT_FALSE(Status.Message.empty());
   EXPECT_NE(Status.describe(), "ok");
+  expectReplayParity(Path, 0);
 }
 
 /// Event-sequence builder for semantically invalid traces: container and
@@ -162,6 +167,7 @@ TraceReplayer::Step replayAll(TraceReplayer &Replayer, const std::string &Path,
          TraceReplayer::Step::Tx)
     ;
   Status = Replayer.status();
+  expectReplayParity(Path, StateBytesLimit);
   return Step;
 }
 
@@ -177,6 +183,7 @@ TraceReplayer::Step replayAll(const std::string &Path, TraceStatus &Status,
 TEST(TraceCorruptionTest, MissingFileFails) {
   TraceReader Reader;
   EXPECT_FALSE(Reader.open(tempPath("does_not_exist")).ok());
+  expectReplayParity(tempPath("does_not_exist"), 0);
 }
 
 TEST(TraceCorruptionTest, EmptyFileFails) {
@@ -545,6 +552,7 @@ TEST(TraceCorruptionTest, ZeroEventCountFrameWithPayloadFails) {
   ASSERT_FALSE(Status.ok());
   EXPECT_NE(Status.Message.find("trailing bytes"), std::string::npos)
       << Status.describe();
+  expectReplayParity(Path, 0);
   std::remove(Path.c_str());
 }
 
@@ -560,5 +568,6 @@ TEST(TraceCorruptionTest, DiagnosticsCarryLocation) {
   TraceStatus Status = summarizeTrace(Path, Summary);
   ASSERT_FALSE(Status.ok());
   EXPECT_GT(Status.ByteOffset, 0u);
+  expectReplayParity(Path, 0);
   std::remove(Path.c_str());
 }
