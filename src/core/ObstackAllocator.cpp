@@ -3,6 +3,7 @@
 #include "core/ObstackAllocator.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
+#include "support/Random.h"
 
 #include <cassert>
 #include <cstring>
@@ -18,14 +19,6 @@ constexpr uint64_t InstrNewChunk = 90;
 constexpr uint64_t InstrFreeAll = 40;
 
 constexpr size_t alignUp8(size_t Size) { return (Size + 7) & ~size_t(7); }
-
-/// splitmix64 finalizer, for the dead-object mark.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 } // namespace
 
@@ -94,8 +87,9 @@ void ObstackAllocator::deallocate(void *Ptr) {
   if (P < Heap.base() || P >= Heap.base() + Heap.size())
     fatal("obstack allocator: freed pointer is not from this heap");
   auto *Mark = reinterpret_cast<uint64_t *>(Ptr);
-  uint64_t Dead = mix64(reinterpret_cast<uintptr_t>(Ptr) ^
-                        FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
+  uint64_t Dead =
+      splitmix64(reinterpret_cast<uintptr_t>(Ptr) ^
+                 FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
   if (*Mark == Dead)
     fatal("heap corruption detected: double free of an obstack object");
   *Mark = Dead;

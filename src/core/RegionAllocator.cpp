@@ -3,6 +3,7 @@
 #include "core/RegionAllocator.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
+#include "support/Random.h"
 
 #include <cassert>
 #include <cstring>
@@ -18,14 +19,6 @@ constexpr uint64_t InstrMallocNewChunk = 64;
 constexpr uint64_t InstrFreeAll = 24;
 
 constexpr size_t alignUp8(size_t Size) { return (Size + 7) & ~size_t(7); }
-
-/// splitmix64 finalizer, for the dead-object mark.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 } // namespace
 
@@ -87,8 +80,8 @@ bool RegionAllocator::owns(const void *Ptr) const {
 }
 
 uint64_t RegionAllocator::deadMark(const void *Ptr) const {
-  return mix64(reinterpret_cast<uintptr_t>(Ptr) ^
-               FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
+  return splitmix64(reinterpret_cast<uintptr_t>(Ptr) ^
+                    FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
 }
 
 void RegionAllocator::deallocate(void *Ptr) {

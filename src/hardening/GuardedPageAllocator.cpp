@@ -2,6 +2,7 @@
 
 #include "hardening/GuardedPageAllocator.h"
 #include "hardening/Hardening.h"
+#include "hardening/Pattern.h"
 
 #include <sys/mman.h>
 #include <unistd.h>
@@ -9,13 +10,6 @@
 using namespace ddm;
 
 namespace {
-
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 /// Sampled objects are 16-byte aligned (stricter than the TxAllocator
 /// floor of 8) so right-alignment never breaks the alignment contract.
@@ -47,11 +41,6 @@ GuardedPageAllocator::~GuardedPageAllocator() {
     munmap(Base, MappedBytes);
 }
 
-uint8_t GuardedPageAllocator::slackByte(const void *User, uint32_t I) const {
-  uint64_t Word = mix64(reinterpret_cast<uintptr_t>(User) ^ Seed);
-  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
-}
-
 void *GuardedPageAllocator::allocate(size_t Size) {
   if (!Base || FreeSlots.empty() || Size > PageBytes)
     return nullptr;
@@ -73,34 +62,27 @@ void *GuardedPageAllocator::allocate(size_t Size) {
   ++Live;
   // Fill the rounding slack past the object end with the pattern; a small
   // overflow that stops short of the guard page still gets caught at free.
-  for (uint32_t I = 0; I < Rounded - Size; ++I)
-    *reinterpret_cast<uint8_t *>(User + Size + I) = slackByte(User, I);
+  fillPattern(User + Size, Rounded - Size, patternWord(User, Seed));
   return User;
 }
 
 bool GuardedPageAllocator::verifySlack(uint32_t Slot,
                                        CorruptionReport &Report) {
   const SlotInfo &S = Info[Slot];
-  std::byte *Data = dataPage(Slot);
-  size_t Slack =
-      static_cast<size_t>(Data + PageBytes -
-                          (static_cast<std::byte *>(S.UserPtr) + S.UserSize));
-  for (uint32_t I = 0; I < Slack; ++I) {
-    uint8_t Want = slackByte(S.UserPtr, I);
-    uint8_t Got =
-        *reinterpret_cast<uint8_t *>(static_cast<std::byte *>(S.UserPtr) +
-                                     S.UserSize + I);
-    if (Got != Want) {
-      Report.Kind = CorruptionKind::GuardViolation;
-      Report.Site = "guard_free";
-      Report.ByteOffset = S.UserSize + I;
-      Report.Expected = Want;
-      Report.Found = Got;
-      Report.UserSize = S.UserSize;
-      return false;
-    }
-  }
-  return true;
+  auto *SlackBegin = static_cast<uint8_t *>(S.UserPtr) + S.UserSize;
+  size_t Slack = static_cast<size_t>(
+      reinterpret_cast<uint8_t *>(dataPage(Slot) + PageBytes) - SlackBegin);
+  uint64_t Word = patternWord(S.UserPtr, Seed);
+  size_t Bad = patternMismatch(SlackBegin, Slack, Word);
+  if (Bad == Slack)
+    return true;
+  Report.Kind = CorruptionKind::GuardViolation;
+  Report.Site = "guard_free";
+  Report.ByteOffset = S.UserSize + Bad;
+  Report.Expected = patternByte(Word, Bad);
+  Report.Found = SlackBegin[Bad];
+  Report.UserSize = S.UserSize;
+  return false;
 }
 
 void GuardedPageAllocator::protectSlot(uint32_t Slot) {

@@ -82,7 +82,6 @@ private:
   std::byte *dataPage(uint32_t Slot) const {
     return Base + (2 * static_cast<size_t>(Slot) + 1) * PageBytes;
   }
-  uint8_t slackByte(const void *User, uint32_t I) const;
   bool verifySlack(uint32_t Slot, CorruptionReport &Report);
   void protectSlot(uint32_t Slot);
 

@@ -1,6 +1,7 @@
 //===- hardening/HardenedAllocator.cpp - Corruption-detecting wrapper ----===//
 
 #include "hardening/Hardening.h"
+#include "hardening/Pattern.h"
 
 #include "support/Error.h"
 #include "support/FaultInjection.h"
@@ -11,13 +12,6 @@
 using namespace ddm;
 
 namespace {
-
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 constexpr uint64_t LiveSalt = 0xa11c0a11c0ull;
 constexpr uint64_t FreedSalt = 0xdeadf4eedull;
@@ -87,8 +81,8 @@ HardenedAllocator::~HardenedAllocator() = default;
 
 uint64_t HardenedAllocator::magicFor(const ObjHeader *H,
                                      uint64_t StateSalt) const {
-  return mix64(reinterpret_cast<uintptr_t>(H) ^ Config.Seed ^
-               (H->UserSize * 0x9e3779b97f4a7c15ull) ^ StateSalt);
+  return splitmix64(reinterpret_cast<uintptr_t>(H) ^ Config.Seed ^
+                    (H->UserSize * 0x9e3779b97f4a7c15ull) ^ StateSalt);
 }
 
 HardenedAllocator::ObjState
@@ -100,15 +94,8 @@ HardenedAllocator::classify(const ObjHeader *H) const {
   return ObjState::Unknown;
 }
 
-uint8_t HardenedAllocator::redzoneByte(const void *User, uint32_t I) const {
-  uint64_t Word = mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed);
-  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
-}
-
-uint8_t HardenedAllocator::poisonByte(const void *User, uint32_t I) const {
-  uint64_t Word =
-      mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed ^ FreedSalt);
-  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
+bool HardenedAllocator::isFreed(const ObjHeader *H) const {
+  return H->Magic == magicFor(H, FreedSalt);
 }
 
 size_t HardenedAllocator::poisonSpan(uint64_t UserSize) const {
@@ -135,54 +122,34 @@ void HardenedAllocator::raise(CorruptionKind Kind, const char *Site,
     fatal(R.describe());
 }
 
-void HardenedAllocator::writeRedzone(void *User, uint64_t UserSize) {
-  auto *RZ = static_cast<uint8_t *>(User) + UserSize;
-  for (uint32_t I = 0; I < Config.RedzoneBytes; ++I)
-    RZ[I] = redzoneByte(User, I);
+void HardenedAllocator::verifySpan(uint8_t *Span, size_t Len, uint64_t Word,
+                                   CorruptionKind Kind, const char *Site,
+                                   uint64_t SpanOffset, uint64_t UserSize) {
+  size_t Bad = patternMismatch(Span, Len, Word);
+  if (Bad == Len)
+    return;
+  uint8_t Got = Span[Bad];
+  // Repair before reporting: a later verification of this object (the
+  // free after a realloc-time check, the quarantine drain after a
+  // free-time check) must not re-report the same scribble.
+  fillPattern(Span, Len, Word);
+  raise(Kind, Site, SpanOffset + Bad, patternByte(Word, Bad), Got, UserSize);
 }
 
 void HardenedAllocator::verifyRedzone(void *User, const char *Site) {
   ++HStats.RedzoneChecks;
-  ObjHeader *H = headerOf(User);
-  auto *RZ = static_cast<uint8_t *>(User) + H->UserSize;
-  for (uint32_t I = 0; I < Config.RedzoneBytes; ++I) {
-    uint8_t Want = redzoneByte(User, I);
-    if (RZ[I] != Want) {
-      uint8_t Got = RZ[I];
-      // Repair before reporting: a later verification of this object (the
-      // free after a realloc-time check, the quarantine drain after a
-      // free-time check) must not re-report the same scribble.
-      for (uint32_t J = I; J < Config.RedzoneBytes; ++J)
-        RZ[J] = redzoneByte(User, J);
-      raise(CorruptionKind::RedzoneOverflow, Site, H->UserSize + I, Want, Got,
-            H->UserSize);
-      return;
-    }
-  }
-}
-
-void HardenedAllocator::poisonObject(void *User, uint64_t UserSize) {
-  auto *P = static_cast<uint8_t *>(User);
-  size_t Span = poisonSpan(UserSize);
-  for (size_t I = 0; I < Span; ++I)
-    P[I] = poisonByte(User, static_cast<uint32_t>(I));
+  uint64_t UserSize = headerOf(User)->UserSize;
+  verifySpan(static_cast<uint8_t *>(User) + UserSize, Config.RedzoneBytes,
+             patternWord(User, Config.Seed), CorruptionKind::RedzoneOverflow,
+             Site, UserSize, UserSize);
 }
 
 void HardenedAllocator::verifyPoison(void *User, const char *Site) {
   ++HStats.PoisonChecks;
-  ObjHeader *H = headerOf(User);
-  auto *P = static_cast<uint8_t *>(User);
-  size_t Span = poisonSpan(H->UserSize);
-  for (size_t I = 0; I < Span; ++I) {
-    uint8_t Want = poisonByte(User, static_cast<uint32_t>(I));
-    if (P[I] != Want) {
-      uint8_t Got = P[I];
-      for (size_t J = I; J < Span; ++J)
-        P[J] = poisonByte(User, static_cast<uint32_t>(J));
-      raise(CorruptionKind::UseAfterFree, Site, I, Want, Got, H->UserSize);
-      return;
-    }
-  }
+  uint64_t UserSize = headerOf(User)->UserSize;
+  verifySpan(static_cast<uint8_t *>(User), poisonSpan(UserSize),
+             patternWord(User, Config.Seed ^ FreedSalt),
+             CorruptionKind::UseAfterFree, Site, 0, UserSize);
 }
 
 void HardenedAllocator::removeFromLive(ObjHeader *H, void *User,
@@ -231,7 +198,8 @@ void *HardenedAllocator::allocate(size_t Size) {
   H->Magic = magicFor(H, LiveSalt);
   void *User = userOf(H);
   LiveObjects.push_back(User);
-  writeRedzone(User, Size);
+  fillPattern(static_cast<uint8_t *>(User) + Size, Config.RedzoneBytes,
+              patternWord(User, Config.Seed));
   noteMalloc(Size, Size);
   return User;
 }
@@ -288,7 +256,8 @@ void HardenedAllocator::deallocate(void *Ptr) {
     Inner->deallocate(H);
     return;
   }
-  poisonObject(Ptr, H->UserSize);
+  fillPattern(Ptr, poisonSpan(H->UserSize),
+              patternWord(Ptr, Config.Seed ^ FreedSalt));
   // Injected use-after-free: flip one poison byte before the entry is
   // parked; the recycle/drain verification must find it. (Scribbling
   // before the push keeps the injection off memory the ring might have
@@ -320,7 +289,7 @@ void HardenedAllocator::recycleOldest() {
   void *User = Quarantine.front();
   Quarantine.pop_front();
   ObjHeader *H = headerOf(User);
-  if (classify(H) != ObjState::Freed) {
+  if (!isFreed(H)) {
     // A quarantined entry must still look freed; anything else means its
     // header was scribbled while parked.
     raise(CorruptionKind::HeaderClobber, "quarantine_recycle", 0, 0, 0, 0);
@@ -384,8 +353,7 @@ void HardenedAllocator::freeAll() {
   while (!Quarantine.empty()) {
     void *User = Quarantine.front();
     Quarantine.pop_front();
-    ObjHeader *H = headerOf(User);
-    if (classify(H) != ObjState::Freed) {
+    if (!isFreed(headerOf(User))) {
       raise(CorruptionKind::HeaderClobber, "free_all", 0, 0, 0, 0);
       continue;
     }

@@ -166,17 +166,23 @@ private:
 
   uint64_t magicFor(const ObjHeader *H, uint64_t StateSalt) const;
   ObjState classify(const ObjHeader *H) const;
-  /// First pattern byte index I covers user offset UserSize + I.
-  uint8_t redzoneByte(const void *User, uint32_t I) const;
-  uint8_t poisonByte(const void *User, uint32_t I) const;
+  /// classify(H) == Freed with one hash instead of two: the mix is a
+  /// bijection and the state salts differ, so a header's live and freed
+  /// magics never coincide.
+  bool isFreed(const ObjHeader *H) const;
   size_t poisonSpan(uint64_t UserSize) const;
 
-  void writeRedzone(void *User, uint64_t UserSize);
-  /// Verifies the rear red-zone; on mismatch raises one report and then
-  /// repairs the pattern so a later verification of the same object does
-  /// not double-report a single scribble.
+  /// Verifies \p Len bytes at \p Span against \p Word's pattern
+  /// (hardening/Pattern.h). On a mismatch repairs the whole span, so a
+  /// later verification of the same object does not double-report one
+  /// scribble, then raises one \p Kind report at offset \p SpanOffset plus
+  /// the first bad byte's index.
+  void verifySpan(uint8_t *Span, size_t Len, uint64_t Word,
+                  CorruptionKind Kind, const char *Site, uint64_t SpanOffset,
+                  uint64_t UserSize);
+  /// The red zone's pattern word is patternWord(User, Seed); the poison's
+  /// is patternWord(User, Seed ^ FreedSalt).
   void verifyRedzone(void *User, const char *Site);
-  void poisonObject(void *User, uint64_t UserSize);
   void verifyPoison(void *User, const char *Site);
 
   void removeFromLive(ObjHeader *H, void *User, const char *Site);

@@ -17,6 +17,16 @@
 
 namespace ddm {
 
+/// One splitmix64 step from state \p X: a bijective 64-bit mix. Seeds the
+/// generator below, and hashes addresses into canaries and dead-object
+/// marks elsewhere.
+inline uint64_t splitmix64(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ull;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
+  return X ^ (X >> 31);
+}
+
 /// Deterministic pseudo-random number generator.
 ///
 /// Uses splitmix64 to expand the seed into the xoshiro256** state, so any
@@ -39,12 +49,8 @@ public:
   void reseed(uint64_t Seed, uint64_t StreamId = 0) {
     uint64_t X = Seed;
     for (auto &Word : State) {
-      // splitmix64 step.
+      Word = splitmix64(X);
       X += 0x9e3779b97f4a7c15ull;
-      uint64_t Z = X;
-      Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-      Word = Z ^ (Z >> 31);
     }
     for (uint64_t I = 0; I < StreamId; ++I)
       longJump();

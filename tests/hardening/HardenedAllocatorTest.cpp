@@ -190,6 +190,30 @@ TEST(HardenedAllocatorTest, FreeAllVerifiesLiveObjectsAndQuarantine) {
   EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes, 0u);
 }
 
+TEST(HardenedAllocatorTest, QuarantinedHeaderNotFreedIsHeaderClobber) {
+  // A parked entry must still carry the *freed* magic. A wild write that
+  // puts back the live magic (say, a stale copy of the header) or any
+  // other value is a clobber at recycle and at bulk free alike — never a
+  // silent release.
+  for (uint64_t Flip : {uint64_t(0), uint64_t(1)})
+    for (const char *Site : {"quarantine_recycle", "free_all"}) {
+      SCOPED_TRACE(testing::Message() << Site << " flip=" << Flip);
+      Fixture F(AllocatorKind::DDmalloc);
+      auto *P = static_cast<uint8_t *>(F.Alloc->allocate(40));
+      uint64_t Forged; // the header's last word: the live magic
+      std::memcpy(&Forged, P - sizeof(uint64_t), sizeof(uint64_t));
+      Forged ^= Flip;
+      F.Alloc->deallocate(P);
+      std::memcpy(P - sizeof(uint64_t), &Forged, sizeof(uint64_t));
+      if (std::string(Site) == "quarantine_recycle")
+        F.H->drainQuarantine();
+      F.Alloc->freeAll();
+      ASSERT_EQ(F.Reports.size(), 1u);
+      EXPECT_EQ(F.Reports[0].Kind, CorruptionKind::HeaderClobber);
+      EXPECT_EQ(F.Reports[0].Site, Site);
+    }
+}
+
 TEST(HardenedAllocatorTest, InjectionSitesFireExactlyOncePerTrigger) {
   // The chaos benches rely on a 1:1 mapping between a fired injection and
   // a raised report; pin it for one deterministic scribble of each kind.
